@@ -183,7 +183,8 @@ func (n *Node) handleMultiGet(req *simnet.Request, b MultiGetReq) {
 func (n *Node) handlePut(req *simnet.Request, b PutReq) {
 	n.ops++
 	e, fromDisk := n.st.merge(b.Key, b.Lat, n.k.Now())
-	e.dirtyRepl, e.dirtyPush = true, true
+	n.st.dirtyRepl[b.Key] = struct{}{}
+	n.st.dirtyPush[b.Key] = struct{}{}
 	n.k.Sleep(n.serviceTime(n.cfg.PutServiceTime, fromDisk, e.size))
 	req.Reply(PutResp{OK: true}, 8)
 }
@@ -208,7 +209,7 @@ func (n *Node) handleSetRemove(req *simnet.Request, b SetRemoveReq) {
 				}
 			}
 			if removed {
-				// The dirty flags stay untouched: the client reaches every
+				// The dirty sets stay untouched: the client reaches every
 				// owner itself, and pushing a shrunken set to replicas or
 				// caches would be a union no-op anyway.
 				n.st.resize(e)
@@ -224,10 +225,10 @@ func (n *Node) handleStats(req *simnet.Request, _ StatsReq) {
 }
 
 func (n *Node) handleGossip(_ simnet.Message, b GossipMsg) {
-	e, _ := n.st.merge(b.Key, b.Lat, n.k.Now())
+	n.st.merge(b.Key, b.Lat, n.k.Now())
 	// Replicas do not re-gossip (the writer reaches all owners),
 	// but must push to their own subscribed caches.
-	e.dirtyPush = true
+	n.st.dirtyPush[b.Key] = struct{}{}
 	n.k.Sleep(n.cfg.PutServiceTime)
 }
 
@@ -235,9 +236,9 @@ func (n *Node) handleKeyset(_ simnet.Message, b KeysetUpdate) { n.applyKeyset(b)
 
 func (n *Node) handleTransfer(_ simnet.Message, b TransferMsg) {
 	for _, te := range b.Entries {
-		e, _ := n.st.merge(te.Key, te.Lat, n.k.Now())
-		e.dirtyPush = true
-		e.dirtyRepl = true // propagate to any further new replicas
+		n.st.merge(te.Key, te.Lat, n.k.Now())
+		n.st.dirtyPush[te.Key] = struct{}{}
+		n.st.dirtyRepl[te.Key] = struct{}{} // propagate to any further new replicas
 		for _, c := range te.Subscribers {
 			n.subscribe(te.Key, simnet.NodeID(c))
 		}
@@ -281,11 +282,7 @@ func (n *Node) subscribe(key string, cache simnet.NodeID) {
 // gossipTick propagates dirty keys to the other owners — Anna's
 // asynchronous replica propagation, run on the gossip cadence.
 func (n *Node) gossipTick() {
-	n.st.each(func(e *entry, onDisk bool) {
-		if !e.dirtyRepl {
-			return
-		}
-		e.dirtyRepl = false
+	n.st.drainDirty(&n.st.dirtyRepl, func(e *entry) {
 		for _, owner := range n.ring.OwnersFor(e.key) {
 			if owner == n.id {
 				continue
@@ -297,11 +294,7 @@ func (n *Node) gossipTick() {
 
 // pushTick sends updated keys to their subscribed caches (§4.2).
 func (n *Node) pushTick() {
-	n.st.each(func(e *entry, onDisk bool) {
-		if !e.dirtyPush {
-			return
-		}
-		e.dirtyPush = false
+	n.st.drainDirty(&n.st.dirtyPush, func(e *entry) {
 		for _, cache := range sortedSubs(n.index[e.key]) {
 			n.ep.Send(cache, KeyUpdatePush{Key: e.key, Lat: e.lat.Clone()}, 24+e.size)
 		}
@@ -402,7 +395,7 @@ func (n *Node) transferForRing() {
 			}
 		}
 		if owned {
-			e.dirtyRepl = true
+			n.st.dirtyRepl[e.key] = struct{}{}
 			return
 		}
 		dst := owners[0]

@@ -1,7 +1,9 @@
 package anna
 
 import (
+	"slices"
 	"sort"
+	"strings"
 
 	"cloudburst/internal/lattice"
 	"cloudburst/internal/vtime"
@@ -14,8 +16,6 @@ type entry struct {
 	size       int
 	lastAccess vtime.Time
 	accesses   int64 // accesses in the current stats window
-	dirtyRepl  bool  // changed since last gossip round
-	dirtyPush  bool  // changed since last cache-push round
 }
 
 // tieredStore is a node's two-tier storage: a bounded memory tier with
@@ -27,6 +27,13 @@ type tieredStore struct {
 	disk        map[string]*entry
 	memBytes    int
 	memCapacity int // 0 = unbounded
+
+	// Keys changed since the last gossip round (dirtyRepl) and since the
+	// last cache-push round (dirtyPush). The ticks drain them, so their
+	// cost follows the write rate rather than the number of stored keys.
+	dirtyRepl map[string]struct{}
+	dirtyPush map[string]struct{}
+	drainBuf  []*entry // drainDirty's scratch, reused across ticks
 }
 
 func newTieredStore(memCapacity int) *tieredStore {
@@ -34,6 +41,8 @@ func newTieredStore(memCapacity int) *tieredStore {
 		mem:         make(map[string]*entry),
 		disk:        make(map[string]*entry),
 		memCapacity: memCapacity,
+		dirtyRepl:   make(map[string]struct{}),
+		dirtyPush:   make(map[string]struct{}),
 	}
 }
 
@@ -75,8 +84,11 @@ func (s *tieredStore) merge(key string, lat lattice.Lattice, now vtime.Time) (e 
 	return e, fromDisk
 }
 
-// delete removes key from both tiers and reports whether it existed.
+// delete removes key from both tiers and both dirty sets, so a key
+// created again later starts clean. It reports whether the key existed.
 func (s *tieredStore) delete(key string) bool {
+	delete(s.dirtyRepl, key)
+	delete(s.dirtyPush, key)
 	if e, ok := s.mem[key]; ok {
 		s.memBytes -= e.size
 		delete(s.mem, key)
@@ -136,8 +148,10 @@ func (s *tieredStore) evictIfNeeded(now vtime.Time) {
 // each iterates over all entries (memory then disk) in sorted key order.
 // Deterministic order matters: callers send network messages per entry,
 // and message order consumes the kernel's random source — unsorted map
-// iteration would break run-to-run reproducibility. fn must not mutate
-// the store.
+// iteration would break run-to-run reproducibility. It sorts every
+// stored key, so only ring transfers, stats and diagnostics walk the
+// whole store; the gossip and push ticks use drainDirty. fn must not
+// mutate the store.
 func (s *tieredStore) each(fn func(e *entry, onDisk bool)) {
 	for _, k := range sortedEntryKeys(s.mem) {
 		fn(s.mem[k], false)
@@ -145,6 +159,39 @@ func (s *tieredStore) each(fn func(e *entry, onDisk bool)) {
 	for _, k := range sortedEntryKeys(s.disk) {
 		fn(s.disk[k], true)
 	}
+}
+
+// drainDirty empties a dirty set (&s.dirtyRepl or &s.dirtyPush) and
+// visits its entries in the order each would: memory-tier keys sorted,
+// then disk-tier keys sorted, with the tier resolved now. The set is
+// replaced rather than cleared: a cleared map keeps the capacity of its
+// largest burst (a preload's puts), and ranging over or clearing it
+// costs that capacity on every later tick. fn must not mutate the store.
+func (s *tieredStore) drainDirty(set *map[string]struct{}, fn func(e *entry)) {
+	if len(*set) == 0 {
+		return
+	}
+	buf := s.drainBuf[:0]
+	for k := range *set {
+		if e, ok := s.mem[k]; ok {
+			buf = append(buf, e)
+		}
+	}
+	nMem := len(buf)
+	for k := range *set {
+		if e, ok := s.disk[k]; ok {
+			buf = append(buf, e)
+		}
+	}
+	*set = make(map[string]struct{})
+	byKey := func(a, b *entry) int { return strings.Compare(a.key, b.key) }
+	slices.SortFunc(buf[:nMem], byKey)
+	slices.SortFunc(buf[nMem:], byKey)
+	for _, e := range buf {
+		fn(e)
+	}
+	clear(buf)
+	s.drainBuf = buf[:0]
 }
 
 func sortedEntryKeys(m map[string]*entry) []string {

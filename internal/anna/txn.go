@@ -123,7 +123,8 @@ func (n *Node) resolveTxn(p *preparedTxn, commit bool) {
 			continue
 		}
 		e, fromDisk := n.st.merge(it.Key, lattice.NewLWW(ts, it.Payload), n.k.Now())
-		e.dirtyRepl, e.dirtyPush = true, true
+		n.st.dirtyRepl[it.Key] = struct{}{}
+		n.st.dirtyPush[it.Key] = struct{}{}
 		svc += n.serviceTime(n.cfg.PutServiceTime, fromDisk, e.size)
 	}
 	n.k.Sleep(svc)

@@ -471,17 +471,25 @@ func (k *Kernel) Stop() {
 	if k.running {
 		panic("vtime: Stop during Run")
 	}
+	// Deterministic order: lowest live id first. One sort per round
+	// suffices: processes spawned while another unwinds get higher ids
+	// than the whole snapshot, so they wait for the next round, and a
+	// process that parks again while unwinding is re-killed before the
+	// next id, as it is still the lowest.
+	var ids []int64
 	for len(k.live) > 0 {
-		// Deterministic order: lowest id first.
-		ids := make([]int64, 0, len(k.live))
+		ids = ids[:0]
 		for id := range k.live {
 			ids = append(ids, id)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		p := k.live[ids[0]]
-		p.killed = true
-		p.resume <- struct{}{}
-		<-k.yield
+		for _, id := range ids {
+			for p, ok := k.live[id]; ok; p, ok = k.live[id] {
+				p.killed = true
+				p.resume <- struct{}{}
+				<-k.yield
+			}
+		}
 	}
 	// Unwound processes park on the free list; exit their goroutines.
 	for _, p := range k.freeProcs {

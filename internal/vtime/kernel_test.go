@@ -1,6 +1,7 @@
 package vtime
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -512,5 +513,57 @@ func TestSleepAllocationFree(t *testing.T) {
 	run() // warm pools
 	if allocs := testing.AllocsPerRun(5, run) / perRun; allocs > 0.2 {
 		t.Fatalf("Sleep: %.3f allocs/op, want amortized 0", allocs)
+	}
+}
+
+// TestStopKillOrder pins Stop's order: live processes unwind lowest id
+// first; a process that parks again while unwinding is killed again
+// before the next id; a process spawned while another unwinds is killed
+// after every process that was live when Stop began.
+func TestStopKillOrder(t *testing.T) {
+	k := NewKernel(1)
+	var order []string
+	var liveAtC int64
+	spawnedRan := false
+	k.Run("main", func() {
+		ch := NewChan[int](k, 0)
+		k.Go("a", func() {
+			defer func() { order = append(order, "a-second") }()
+			defer func() {
+				order = append(order, "a-first")
+				k.Sleep(time.Millisecond) // parks again; Stop must re-kill
+				order = append(order, "a-unreachable")
+			}()
+			ch.Recv()
+		})
+		k.Go("b", func() {
+			defer func() {
+				order = append(order, "b")
+				k.Go("spawned", func() { spawnedRan = true })
+			}()
+			ch.Recv()
+		})
+		k.Go("c", func() {
+			defer func() {
+				order = append(order, "c")
+				liveAtC = k.Stats().LiveProcs
+			}()
+			ch.Recv()
+		})
+		k.Sleep(time.Millisecond)
+	})
+	k.Stop()
+	want := []string{"a-first", "a-second", "b", "c"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("kill order = %v, want %v", order, want)
+	}
+	if liveAtC != 2 {
+		t.Fatalf("live procs while c unwinds = %d, want 2 (c and the process b spawned)", liveAtC)
+	}
+	if spawnedRan {
+		t.Fatal("process spawned during unwinding ran its body")
+	}
+	if n := k.Stats().LiveProcs; n != 0 {
+		t.Fatalf("live procs after stop = %d, want 0", n)
 	}
 }
